@@ -11,6 +11,7 @@
 
 use std::time::{Duration, Instant};
 
+use muds_core::json::json_string;
 use muds_core::{profile_csv, Algorithm, ProfileResult, ProfilerConfig};
 use muds_obs::MetricsSnapshot;
 use muds_table::{table_to_csv, CsvOptions, Table};
@@ -158,17 +159,6 @@ pub struct MetricsSidecar {
     entries: Vec<String>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 impl MetricsSidecar {
     /// Sidecar for the named experiment binary. The default path
     /// `<bin>_metrics.json` (current directory) can be overridden with
@@ -181,9 +171,9 @@ impl MetricsSidecar {
     /// Records one labelled snapshot, e.g. `("rows=50000", "MUDS", …)`.
     pub fn record(&mut self, label: &str, algorithm: &str, snapshot: &MetricsSnapshot) {
         self.entries.push(format!(
-            "{{\"label\":\"{}\",\"algorithm\":\"{}\",\"metrics\":{}}}",
-            json_escape(label),
-            json_escape(algorithm),
+            "{{\"label\":{},\"algorithm\":{},\"metrics\":{}}}",
+            json_string(label),
+            json_string(algorithm),
             snapshot.to_json()
         ));
     }
@@ -200,9 +190,9 @@ impl MetricsSidecar {
     /// `scenario`), with one `entries` element per recorded snapshot.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n\"schema_version\": {},\n\"scenario\": \"{}\",\n\"entries\": [\n  {}\n]\n}}\n",
+            "{{\n\"schema_version\": {},\n\"scenario\": {},\n\"entries\": [\n  {}\n]\n}}\n",
             report::SCHEMA_VERSION,
-            json_escape(&self.scenario),
+            json_string(&self.scenario),
             self.entries.join(",\n  ")
         )
     }
@@ -246,6 +236,22 @@ mod tests {
         assert!(json.contains("\"label\":\"rows=100\""));
         assert!(json.contains("\"algorithm\":\"MUDS\""));
         assert!(json.contains("\"pli.intersects\""));
+    }
+
+    #[test]
+    fn sidecar_labels_with_control_characters_round_trip() {
+        let label = "tab\there\r\u{1}end \"q\" \\";
+        let mut sidecar = MetricsSidecar::for_bin("fig\t7");
+        sidecar.record(label, "MUDS\n", &MetricsSnapshot::default());
+        let json = sidecar.to_json();
+        // The lenient parser would also accept raw control characters, so
+        // check they were escaped as strict JSON requires.
+        assert!(json.contains(r#""label":"tab\there\r\u0001end \"q\" \\""#), "{json}");
+        let doc = muds_core::json::parse_json(&json).expect("sidecar parses");
+        assert_eq!(doc.get("scenario").and_then(|v| v.as_str()), Some("fig\t7"));
+        let entries = doc.get("entries").and_then(|v| v.as_array()).expect("entries array");
+        assert_eq!(entries[0].get("label").and_then(|v| v.as_str()), Some(label));
+        assert_eq!(entries[0].get("algorithm").and_then(|v| v.as_str()), Some("MUDS\n"));
     }
 
     #[test]

@@ -312,7 +312,8 @@ impl<'a> PliCache<'a> {
             slots.push(Slot::Job(jobs.len()));
             jobs.push((*set, left, right, tick));
         }
-        let computed: Vec<Arc<Pli>> = if jobs.len() <= 1 {
+        let work: usize = jobs.iter().map(|(_, left, right, _)| left.size() + right.size()).sum();
+        let computed: Vec<Arc<Pli>> = if work < Self::MIN_PARALLEL_WORK {
             jobs.iter().map(|(_, left, right, _)| Arc::new(left.intersect(right))).collect()
         } else {
             jobs.par_iter().map(|(_, left, right, _)| Arc::new(left.intersect(right))).collect()
@@ -347,6 +348,12 @@ impl<'a> PliCache<'a> {
         // PLI, the entry just inserted (the returned Arc stays valid).
         self.evict_over_budget();
     }
+
+    /// Batches whose summed operand [`Pli::size`] (rows the intersects or
+    /// refinement scans touch) is below this run sequentially: handing
+    /// parts to the worker pool costs more than scanning that few rows.
+    /// Wide, short tables issue thousands of such batches.
+    const MIN_PARALLEL_WORK: usize = 1 << 15;
 
     /// Column count beyond which validity checks stream their intersection
     /// instead of materializing every prefix PLI via [`PliCache::get`].
@@ -462,7 +469,8 @@ impl<'a> PliCache<'a> {
             slots.push(Slot::Job(jobs.len()));
             jobs.push((pli, table.column(*rhs).codes()));
         }
-        let verdicts: Vec<bool> = if jobs.len() <= 1 {
+        let work: usize = jobs.iter().map(|(pli, _)| pli.size()).sum();
+        let verdicts: Vec<bool> = if work < Self::MIN_PARALLEL_WORK {
             jobs.iter().map(|(pli, codes)| pli.refines(codes)).collect()
         } else {
             jobs.par_iter().map(|(pli, codes)| pli.refines(codes)).collect()

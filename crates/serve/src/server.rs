@@ -168,6 +168,10 @@ impl Server {
     /// serving.
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        // Start the global rayon pool's workers now, as real rayon does on
+        // its first `current_num_threads()`: the daemon's thread count is
+        // then fixed before the first request instead of growing with it.
+        rayon::current_num_threads();
         let metrics = Arc::new(ServeMetrics::new());
         let persist = match &config.data_dir {
             Some(dir) => Some(Persist::open(dir, Arc::clone(&metrics))?),
